@@ -23,7 +23,9 @@ from .geometry import (
     Constraint,
     InequalitySystem,
     is_strictly_feasible,
+    matrix_rank,
     solve_unique,
+    upper_chain,
 )
 from .polynomial import Polynomial
 from .semifield import MAXPLUS
@@ -75,9 +77,10 @@ class _Envelope:
 
     The lift lives over the affine hull of the exponents; queries reduce
     to coordinates on that hull.  Hull dimension 0 and 1 use interval
-    interpolation, dimension 2 uses the dominating planes spanned by
-    point triples, and higher dimensions fall back to the barycentric
-    linear program.
+    interpolation along `geometry.upper_chain`, dimension 2 uses the
+    dominating planes spanned by point triples, and higher dimensions
+    fall back to the barycentric linear program.  Every exact solve and
+    rank goes through `geometry.solve_unique` and `geometry.matrix_rank`.
     """
 
     def __init__(self, lift, arity):
@@ -88,8 +91,8 @@ class _Envelope:
         self.origin = exps[0]
         basis = []
         for e in exps[1:]:
-            d = tuple(a - b for a, b in zip(e, self.origin))
-            if not self._in_span(basis, d):
+            d = tuple(Fraction(a - b) for a, b in zip(e, self.origin))
+            if matrix_rank(basis + [d]) > len(basis):
                 basis.append(d)
         self.basis = basis
         self.hull_dim = len(basis)
@@ -98,24 +101,11 @@ class _Envelope:
             pts = sorted(
                 (self._reduce(e)[0], v) for e, v in self.points
             )
-            self._chain = _upper_chain(pts)
+            self._chain = upper_chain(pts)
         elif self.hull_dim == 2:
             red = [(self._reduce(e), v) for e, v in self.points]
             self._planes = _dominating_planes(red)
             self._edges = _hull_edge_forms([p for p, _ in red])
-
-    @staticmethod
-    def _in_span(basis, vector):
-        if all(x == 0 for x in vector):
-            return True
-        if not basis:
-            return False
-        rows = [[Fraction(b[i]) for b in basis] for i in range(len(vector))]
-        # consistent iff vector is a combination of the basis columns
-        aug = [row + [Fraction(v)] for row, v in zip(rows, vector)]
-        rank_base = _rank([row[:-1] for row in aug])
-        rank_aug = _rank(aug)
-        return rank_base == rank_aug
 
     def _reduce(self, gamma):
         """Coordinates of gamma on the affine hull, or None if off it."""
@@ -123,13 +113,11 @@ class _Envelope:
         k = self.hull_dim
         if k == 0:
             return () if all(x == 0 for x in delta) else None
-        equations = []
-        for i in range(self.arity):
-            coeffs = tuple(Fraction(b[i]) for b in self.basis)
-            equations.append((coeffs, -delta[i]))
-        # pick k independent rows, solve, then verify the rest
-        solution = _solve_overdetermined(equations, k)
-        return solution
+        equations = [
+            (tuple(b[i] for b in self.basis), -delta[i]) for i in range(self.arity)
+        ]
+        # arity equations in k unknowns: None when gamma is off the hull
+        return solve_unique(equations, k)
 
     def contains(self, gamma):
         return self.value(gamma) is not None
@@ -169,13 +157,13 @@ class _Envelope:
             for j in range(self.arity)
         ]
         rows.append((Fraction(1),) * len(exps) + (Fraction(1),))
-        rank = _rank(rows)
+        rank = matrix_rank(rows)
         best = None
         for support in itertools.combinations(range(len(exps)), rank):
             equations = [
                 (tuple(row[i] for i in support), -row[-1]) for row in rows
             ]
-            weights = _solve_overdetermined(equations, rank)
+            weights = solve_unique(equations, rank)
             if weights is None or any(w < 0 for w in weights):
                 continue
             value = sum(w * vals[i] for w, i in zip(weights, support))
@@ -221,70 +209,6 @@ class _Envelope:
             env._planes = [(g1, g2, h * k) for g1, g2, h in self._planes]
             env._edges = [(a, b, c * k) for a, b, c in self._edges]
         return env
-
-
-def _rank(rows):
-    rows = [list(r) for r in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / p
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
-def _solve_overdetermined(equations, n):
-    """The unique solution of coeffs.x + const = 0 rows in Q^n; None when
-    the stack is inconsistent or underdetermined."""
-    rows = [list(coeffs) + [const] for coeffs, const in equations]
-    rank = 0
-    pivots = []
-    for col in range(n):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [v / p for v in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        pivots.append(col)
-        rank += 1
-    for i in range(rank, len(rows)):
-        if rows[i][n] != 0:
-            return None
-    if len(pivots) < n:
-        return None
-    solution = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        solution[col] = -rows[i][n]
-    return tuple(solution)
-
-
-def _upper_chain(points):
-    """Vertices of the upper concave hull of (t, value) pairs, ascending t.
-    Collinear middle points are dropped, so consecutive slopes strictly
-    decrease."""
-    chain = []
-    for p in points:
-        while len(chain) >= 2:
-            (t0, v0), (t1, v1) = chain[-2], chain[-1]
-            # keep chain[-1] only if it lies strictly above segment (chain[-2], p)
-            if (v1 - v0) * (p[0] - t1) > (p[1] - v1) * (t1 - t0):
-                break
-            chain.pop()
-        chain.append(p)
-    return chain
 
 
 def _chain_value(chain, t):

@@ -35,6 +35,12 @@ _TOKEN = re.compile(
 
 _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 
+# Deepest parenthesis nesting an expression may use; deeper input is a
+# ParseError (exit 2).  The parser spends three stack frames per level and
+# the tree walks at most three, so 256 levels stay within Python's default
+# recursion limit of 1000 with room for the caller's own frames.
+MAX_NESTING = 256
+
 
 def tokenize(text):
     tokens = []
@@ -55,11 +61,16 @@ def tokenize(text):
 
 
 class _Parser:
-    """Recursive descent over +, *, ^ with the usual precedence."""
+    """Recursive descent over +, *, ^ with the usual precedence.
+
+    Sums and products are flat n-ary nodes, so a long sum or product adds
+    one tree level, and only parentheses make the tree deeper.
+    """
 
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -77,21 +88,44 @@ class _Parser:
         return node
 
     def expression(self):
-        node = self.term()
+        terms = [self.term()]
         while self.peek()[1] == "+":
             self.advance()
-            node = ("add", node, self.term())
-        return node
+            terms.append(self.term())
+        return terms[0] if len(terms) == 1 else ("add", terms)
 
     def term(self):
-        node = self.power()
+        factors = [self.power()]
         while self.peek()[1] == "*":
             self.advance()
-            node = ("mul", node, self.power())
-        return node
+            factors.append(self.power())
+        return factors[0] if len(factors) == 1 else ("mul", factors)
 
     def power(self):
-        node = self.atom()
+        """An atom with an optional natural exponent.  Atoms are parsed
+        inline, so each parenthesis level costs three stack frames
+        (expression, term, power); see MAX_NESTING."""
+        kind, text, pos = self.advance()
+        if kind == "num":
+            node = ("num", Fraction(text), pos)
+        elif kind == "ninf":
+            node = ("ninf", pos)
+        elif kind == "var":
+            index = _VAR_INDEX[text] if text in _VAR_INDEX else int(text[1:]) - 1
+            if index < 0:
+                raise ParseError("variable numbering starts at X1", pos)
+            node = ("var", index)
+        elif text == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nest deeper than {MAX_NESTING} levels", pos)
+            self.depth += 1
+            node = self.expression()
+            self.depth -= 1
+            closing = self.advance()
+            if closing[1] != ")":
+                raise ParseError("expected ')'", closing[2])
+        else:
+            raise ParseError(f"unexpected token {text!r}", pos)
         if self.peek()[1] == "^":
             self.advance()
             kind, text, pos = self.advance()
@@ -100,32 +134,17 @@ class _Parser:
             node = ("pow", node, int(text))
         return node
 
-    def atom(self):
-        kind, text, pos = self.advance()
-        if kind == "num":
-            return ("num", Fraction(text), pos)
-        if kind == "ninf":
-            return ("ninf", pos)
-        if kind == "var":
-            index = _VAR_INDEX[text] if text in _VAR_INDEX else int(text[1:]) - 1
-            if index < 0:
-                raise ParseError("variable numbering starts at X1", pos)
-            return ("var", index)
-        if text == "(":
-            node = self.expression()
-            closing = self.advance()
-            if closing[1] != ")":
-                raise ParseError("expected ')'", closing[2])
-            return node
-        raise ParseError(f"unexpected token {text!r}", pos)
-
 
 def _max_var_index(node):
     kind = node[0]
     if kind == "var":
         return node[1]
     if kind in ("add", "mul"):
-        return max(_max_var_index(node[1]), _max_var_index(node[2]))
+        # loops, not generators: a generator would add a stack frame per level
+        best = -1
+        for child in node[1]:
+            best = max(best, _max_var_index(child))
+        return best
     if kind == "pow":
         return _max_var_index(node[1])
     return -1
@@ -139,14 +158,13 @@ def _to_polynomial(node, arity, coeff_map):
         return Polynomial.zero(arity)
     if kind == "var":
         return Polynomial.variable(arity, node[1])
-    if kind == "add":
-        return _to_polynomial(node[1], arity, coeff_map) + _to_polynomial(
-            node[2], arity, coeff_map
-        )
-    if kind == "mul":
-        return _to_polynomial(node[1], arity, coeff_map) * _to_polynomial(
-            node[2], arity, coeff_map
-        )
+    if kind in ("add", "mul"):
+        first, *rest = node[1]
+        result = _to_polynomial(first, arity, coeff_map)
+        for child in rest:
+            value = _to_polynomial(child, arity, coeff_map)
+            result = result + value if kind == "add" else result * value
+        return result
     if kind == "pow":
         return _to_polynomial(node[1], arity, coeff_map) ** node[2]
     raise AssertionError(f"unknown node {kind}")

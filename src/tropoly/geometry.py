@@ -4,6 +4,9 @@ Everything here runs on ``Fraction`` values: strictness-aware
 Fourier-Motzkin elimination for feasibility with witness points, affine
 dimension of solution sets, small linear programs solved by enumerating
 basic solutions, lattice points of Newton polytopes and Minkowski sums.
+This module is also the one home of exact linear algebra for the kernel:
+`solve_unique` is its only Gaussian solve, `matrix_rank` its only rank
+routine and `upper_chain` its only upper-hull chain builder.
 Problem sizes are desk scale (a dozen constraints, dimension below ten),
 so the quadratic blowup of the elimination is a non-issue.
 """
@@ -11,6 +14,7 @@ so the quadratic blowup of the elimination is a non-issue.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -129,23 +133,12 @@ def _rows_of(system):
 
 def _normalize_row(row):
     coeffs, const, strict = row
-    denoms = [x.denominator for x in coeffs] + [const.denominator]
-    scale = 1
-    for d in denoms:
-        scale = scale * d // _gcd(scale, d)
+    scale = math.lcm(*(x.denominator for x in coeffs), const.denominator)
     ints = [int(x * scale) for x in coeffs] + [int(const * scale)]
-    g = 0
-    for v in ints:
-        g = _gcd(g, abs(v))
+    g = math.gcd(*ints)
     if g > 1:
         ints = [v // g for v in ints]
     return (tuple(ints[:-1]), ints[-1], strict)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _constant_row_ok(row):
@@ -225,11 +218,6 @@ def is_strictly_feasible(system):
     return True, tuple(witness)
 
 
-def is_feasible(system):
-    """Non-strict feasibility of the closure, with witness."""
-    return is_strictly_feasible(system.closure())
-
-
 # -- exact linear algebra helpers -----------------------------------------
 
 
@@ -266,6 +254,7 @@ def solve_unique(equations, n):
 
 
 def matrix_rank(vectors):
+    """Rank of a list of exact rational vectors (zero vectors allowed)."""
     rows = [list(v) for v in vectors if any(x != 0 for x in v)]
     rank = 0
     n = len(rows[0]) if rows else 0
@@ -281,6 +270,22 @@ def matrix_rank(vectors):
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def upper_chain(points):
+    """Vertices of the upper concave hull of (t, value) pairs given in
+    ascending t.  Collinear middle points are dropped, so consecutive
+    slopes strictly decrease."""
+    chain = []
+    for p in points:
+        while len(chain) >= 2:
+            (t0, v0), (t1, v1) = chain[-2], chain[-1]
+            # keep chain[-1] only if it lies strictly above segment (chain[-2], p)
+            if (v1 - v0) * (p[0] - t1) > (p[1] - v1) * (t1 - t0):
+                break
+            chain.pop()
+        chain.append(p)
+    return chain
 
 
 # -- derived queries -------------------------------------------------------
@@ -372,24 +377,14 @@ def lp_max(objective, system):
 def _lp_max_by_projection(objective, system):
     """Adjoin t = objective(x), eliminate x, read the best bound on t."""
     n = system.dimension
-    rows = []
-    for c in system.constraints:
-        forms = [(c.form.coeffs, c.form.const)]
-        if c.rel == "=":
-            neg = c.form.negated()
-            forms.append((neg.coeffs, neg.const))
-        for coeffs, const in forms:
-            rows.append((tuple(coeffs) + (Fraction(0),), const, False))
+    lifted = [
+        Constraint(AffineForm(tuple(c.form.coeffs) + (Fraction(0),), c.form.const), c.rel)
+        for c in system.constraints
+    ]
     # objective - t = 0
-    for sign in (1, -1):
-        rows.append(
-            (
-                tuple(sign * c for c in objective.coeffs) + (Fraction(-sign),),
-                sign * objective.const,
-                False,
-            )
-        )
-    rows = [_normalize_row(r) for r in rows]
+    t_form = AffineForm(tuple(objective.coeffs) + (Fraction(-1),), objective.const)
+    lifted.append(Constraint(t_form, "="))
+    rows = [_normalize_row(r) for r in _rows_of(InequalitySystem(n + 1, lifted))]
     for index in range(n):
         rows, _, _ = _eliminate(rows, index)
     best = None

@@ -84,15 +84,6 @@ class Polynomial:
             return None
         return max(sum(e) for e in self.terms)
 
-    def extend_arity(self, arity):
-        """Same polynomial viewed with trailing extra variables."""
-        if arity < self.arity:
-            raise UsageError("cannot shrink arity")
-        pad = (0,) * (arity - self.arity)
-        return Polynomial(
-            arity, {e + pad: c for e, c in self.terms.items()}, self.semifield
-        )
-
     def _check_compatible(self, other):
         if not isinstance(other, Polynomial):
             raise UsageError(f"expected a Polynomial, got {type(other).__name__}")
@@ -172,9 +163,6 @@ class Polynomial:
                     val = K.mul(val, K.pow(x, e))
             best = K.add(best, val)
         return best
-
-    def eval(self, point):
-        return self(point)
 
     def is_zero_at(self, point):
         """Tropical zero test: the value is the semiring zero, or at least

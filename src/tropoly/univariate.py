@@ -16,6 +16,7 @@ from fractions import Fraction
 
 from .canon import canonicalize, divide
 from .errors import DomainError, UsageError
+from .geometry import upper_chain
 from .polynomial import Polynomial
 from .semifield import BOTTOM, MAXPLUS
 
@@ -48,16 +49,7 @@ def newton_polygon(poly):
     """Vertices of the upper concave hull of (exponent, coefficient),
     ascending in the exponent."""
     _require_univariate(poly)
-    points = sorted((e[0], c) for e, c in poly.terms.items())
-    hull = []
-    for p in points:
-        while len(hull) >= 2:
-            (x0, y0), (x1, y1) = hull[-2], hull[-1]
-            if (y1 - y0) * (p[0] - x1) > (p[1] - y1) * (x1 - x0):
-                break
-            hull.pop()
-        hull.append(p)
-    return hull
+    return upper_chain(sorted((e[0], c) for e, c in poly.terms.items()))
 
 
 def roots(poly):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from tropoly.cli import main, parse_expression, tokenize
+from tropoly.cli import MAX_NESTING, main, parse_expression, tokenize
 from tropoly.errors import ParseError
 from tropoly.polynomial import Polynomial
 from tropoly.semifield import BOTTOM
@@ -203,3 +203,41 @@ def test_tokenizer_reports_bad_characters():
     with pytest.raises(ParseError) as info:
         tokenize("x ! y")
     assert info.value.position == 2
+
+
+def _canon_x_power(k, text):
+    term = [{"exponents": [k], "coeff": "0"}]
+    return {"command": "canon", "input": text, "result": {"min": term, "max": term}}
+
+
+def test_cli_long_sum_and_product(capsys):
+    text = " + ".join(["x"] * 3000)
+    code, out, err = run(capsys, "canon", text)
+    assert code == 0 and err == ""
+    assert json.loads(out) == _canon_x_power(1, text)
+    text = "*".join(["x"] * 1500)
+    code, out, err = run(capsys, "canon", text)
+    assert code == 0 and err == ""
+    assert json.loads(out) == _canon_x_power(1500, text)
+
+
+def test_cli_deep_nesting_is_a_usage_error(capsys):
+    text = "(" * 3000 + "x" + ")" * 3000
+    code, out, err = run(capsys, "canon", text)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    with pytest.raises(ParseError) as info:
+        parse_expression("(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1))
+    assert info.value.position == MAX_NESTING
+
+
+def test_parse_at_the_nesting_cap():
+    deep = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert parse_expression(deep) == Polynomial(1, {(1,): 0})
+    # a sum, a product and a power at every level: the deepest tree walk
+    text = "0"
+    for _ in range(MAX_NESTING):
+        text = f"(x*{text}^1+0)"
+    expected = Polynomial(1, {(k,): 0 for k in range(MAX_NESTING + 1)})
+    assert parse_expression(text) == expected

@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropoly.errors import InfeasibleError, UsageError
 from tropoly.geometry import (
@@ -15,7 +17,9 @@ from tropoly.geometry import (
     is_strictly_feasible,
     lattice_points,
     lp_max,
+    matrix_rank,
     minkowski_sum,
+    solve_unique,
 )
 
 
@@ -215,3 +219,61 @@ def test_dimension_mismatch_rejected():
         system(2, ([1], 0, ">="))
     with pytest.raises(UsageError):
         minkowski_sum([(0,)], [(0, 0)])
+
+
+_small = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-4, max_value=4, max_denominator=3)
+)
+
+
+@st.composite
+def _equation_stacks(draw):
+    """Rows (coeffs..., const) in 0-4 unknowns, 0-6 rows.  Some rows are
+    combinations of earlier ones, sometimes with a shifted constant, so
+    singular, overdetermined and inconsistent stacks are frequent: the
+    shapes the envelope's hull reduction and barycentric program send."""
+    n = draw(st.integers(0, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if rows and draw(st.booleans()):
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            s, t = draw(_small), draw(_small)
+            row = [s * x + t * y for x, y in zip(a, b)]
+            if draw(st.booleans()):
+                row[-1] += draw(_small)
+        else:
+            row = [draw(_small) for _ in range(n + 1)]
+        rows.append(tuple(row))
+    return n, rows
+
+
+def _sympy_matrix(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in r] for r in rows])
+
+
+def _sympy_rank(rows, width):
+    if not rows or width == 0:
+        return 0
+    return _sympy_matrix(rows).rank()
+
+
+def _sympy_unique_solution(rows, n):
+    coeffs = [r[:n] for r in rows]
+    rank = _sympy_rank(coeffs, n)
+    if rank != _sympy_rank(rows, n + 1) or rank < n:
+        return None
+    if n == 0:
+        return ()
+    solution, params = _sympy_matrix(coeffs).gauss_jordan_solve(-_sympy_matrix([r[n:] for r in rows]))
+    assert params.shape[0] == 0
+    return tuple(Fraction(int(v.p), int(v.q)) for v in solution)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(_equation_stacks())
+def test_solve_unique_and_rank_against_sympy(stack):
+    n, rows = stack
+    assert matrix_rank([r[:n] for r in rows]) == _sympy_rank([r[:n] for r in rows], n)
+    assert matrix_rank(rows) == _sympy_rank(rows, n + 1)
+    equations = [(r[:n], r[n]) for r in rows]
+    assert solve_unique(equations, n) == _sympy_unique_solution(rows, n)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropoly.canon import canonicalize, rat_mul
 from tropoly.errors import DomainError, UsageError
@@ -169,6 +171,39 @@ def test_newton_polygon_matches_extremal_set(rng):
 
         hull = {(e,) for e, _ in newton_polygon(p)}
         assert hull == set(extremal_monomials(p))
+
+
+def _dominant_points(points):
+    """Points (e, c) whose monomial c + e*x strictly beats every other one
+    for some real x: the open interval (lo, hi) left by the others is
+    non-empty.  Decided point by point, without building a hull."""
+    out = []
+    for e, c in points:
+        lo = hi = None
+        for f, d in points:
+            if f < e:  # c + e*x > d + f*x  iff  x > (d - c) / (e - f)
+                bound = (d - c) / (e - f)
+                lo = bound if lo is None else max(lo, bound)
+            elif f > e:  # iff x < (c - d) / (f - e)
+                bound = (c - d) / (f - e)
+                hi = bound if hi is None else min(hi, bound)
+        if lo is None or hi is None or lo < hi:
+            out.append((e, c))
+    return out
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(
+    st.dictionaries(
+        st.integers(0, 12),
+        st.fractions(min_value=-6, max_value=6, max_denominator=2),
+        min_size=1,
+        max_size=9,
+    )
+)
+def test_newton_polygon_against_dominance_check(mapping):
+    p = poly1(mapping)
+    assert newton_polygon(p) == _dominant_points(sorted((e[0], c) for e, c in p.terms.items()))
 
 
 def test_arity_guard():
