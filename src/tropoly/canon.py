@@ -15,6 +15,7 @@ when the product reproduces P's envelope.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 from .errors import DomainError, UsageError
@@ -22,9 +23,9 @@ from .geometry import (
     AffineForm,
     Constraint,
     InequalitySystem,
+    Polytope,
+    hull_facets,
     is_strictly_feasible,
-    matrix_rank,
-    solve_unique,
     upper_chain,
 )
 from .polynomial import Polynomial
@@ -64,209 +65,101 @@ def extremal_monomials(poly):
         raise UsageError("canonical forms require the max-plus rationals")
     if poly.is_zero:
         raise DomainError("zero has no canonical form")
+    terms = poly.terms
+    if poly.arity == 1:
+        # The extremal terms are the vertices of the upper chain.  The other
+        # terms lie on or below it, so they change no strict dominance
+        # region and no witness: FM runs against the vertices alone.
+        chain = upper_chain(sorted((e[0], c) for e, c in terms.items()))
+        terms = {(t,): c for t, c in chain}
     out = {}
-    for alpha in sorted(poly.terms):
-        feasible, witness = is_strictly_feasible(_dominance_system(poly.terms, alpha))
+    for alpha in sorted(terms):
+        feasible, witness = is_strictly_feasible(_dominance_system(terms, alpha))
         if feasible:
-            out[alpha] = (poly.terms[alpha], witness)
+            out[alpha] = (terms[alpha], witness)
     return out
 
 
 class _Envelope:
     """Exact evaluator for the concave envelope of a lifted point set.
 
-    The lift lives over the affine hull of the exponents; queries reduce
-    to coordinates on that hull.  Hull dimension 0 and 1 use interval
-    interpolation along `geometry.upper_chain`, dimension 2 uses the
-    dominating planes spanned by point triples, and higher dimensions
-    fall back to the barycentric linear program.  Every exact solve and
-    rank goes through `geometry.solve_unique` and `geometry.matrix_rank`.
+    Built once: the Newton polytope in facet form over its affine hull
+    (`geometry.Polytope`), and the affine functions on the hull's chart
+    that pass through lifted points and dominate every lifted point (the
+    upper facets of the lift).  By linear programming duality the
+    envelope is their pointwise minimum on the polytope, so a query is a
+    chart read, the facet check and one minimum, in integers over one
+    common denominator (one division per query instead of a Fraction
+    reduction per product).  In hull dimension one the functions are the
+    segments of `geometry.upper_chain`; above it they are the upper
+    facets that `geometry.hull_facets` finds among the (k+1)-subsets of
+    lifted points.
     """
 
-    def __init__(self, lift, arity):
-        self.arity = arity
-        self.lift = dict(lift)
-        self.points = sorted(self.lift.items())
-        exps = [p for p, _ in self.points]
-        self.origin = exps[0]
-        basis = []
-        for e in exps[1:]:
-            d = tuple(Fraction(a - b) for a, b in zip(e, self.origin))
-            if matrix_rank(basis + [d]) > len(basis):
-                basis.append(d)
-        self.basis = basis
-        self.hull_dim = len(basis)
-        self._lp_cache = {}
-        if self.hull_dim == 1:
-            pts = sorted(
-                (self._reduce(e)[0], v) for e, v in self.points
-            )
-            self._chain = upper_chain(pts)
-        elif self.hull_dim == 2:
-            red = [(self._reduce(e), v) for e, v in self.points]
-            self._planes = _dominating_planes(red)
-            self._edges = _hull_edge_forms([p for p, _ in red])
-
-    def _reduce(self, gamma):
-        """Coordinates of gamma on the affine hull, or None if off it."""
-        delta = tuple(Fraction(a - b) for a, b in zip(gamma, self.origin))
-        k = self.hull_dim
-        if k == 0:
-            return () if all(x == 0 for x in delta) else None
-        equations = [
-            (tuple(b[i] for b in self.basis), -delta[i]) for i in range(self.arity)
+    def __init__(self, lift):
+        self.hull = Polytope(lift)
+        lifted = [(self.hull.chart(e), v) for e, v in lift.items()]
+        planes = _dominating_planes(lifted, self.hull.hull_dim)
+        self._denominator = math.lcm(*(x.denominator for g, h in planes for x in g + (h,)))
+        self._planes = [
+            (tuple(int(x * self._denominator) for x in g), int(h * self._denominator))
+            for g, h in planes
         ]
-        # arity equations in k unknowns: None when gamma is off the hull
-        return solve_unique(equations, k)
+
+    def _top(self, s):
+        top = min(sum(g * x for g, x in zip(gs, s)) + h for gs, h in self._planes)
+        return Fraction(top, self._denominator)
 
     def contains(self, gamma):
-        return self.value(gamma) is not None
+        return self.hull.contains(gamma)
 
     def value(self, gamma):
         """Envelope value at gamma, or None outside the Newton polytope."""
-        gamma = tuple(gamma)
-        if self.hull_dim == 0:
-            return self.points[0][1] if gamma == self.origin else None
-        coords = self._reduce(gamma)
-        if coords is None:
+        s = self.hull.chart(gamma)
+        if s is None or not self.hull.inside(s):
             return None
-        if self.hull_dim == 1:
-            return _chain_value(self._chain, coords[0])
-        if self.hull_dim == 2:
-            for a, b, c in self._edges:
-                if a * coords[0] + b * coords[1] + c < 0:
-                    return None
-            return min(g1 * coords[0] + g2 * coords[1] + h for g1, g2, h in self._planes)
-        return self._lp_value(gamma)
-
-    def _lp_value(self, gamma):
-        """Barycentric program for hull dimension three and up.
-
-        Maximize the lifted values over convex weights hitting gamma.
-        The region is a polytope inside the weight simplex, so the
-        optimum sits at a basic solution: a weight vector supported on at
-        most rank-many points.  Enumerating those supports decides
-        membership and the optimum in one pass.
-        """
-        if gamma in self._lp_cache:
-            return self._lp_cache[gamma]
-        exps = [e for e, _ in self.points]
-        vals = [v for _, v in self.points]
-        rows = [
-            tuple(Fraction(e[j]) for e in exps) + (Fraction(gamma[j]),)
-            for j in range(self.arity)
-        ]
-        rows.append((Fraction(1),) * len(exps) + (Fraction(1),))
-        rank = matrix_rank(rows)
-        best = None
-        for support in itertools.combinations(range(len(exps)), rank):
-            equations = [
-                (tuple(row[i] for i in support), -row[-1]) for row in rows
-            ]
-            weights = solve_unique(equations, rank)
-            if weights is None or any(w < 0 for w in weights):
-                continue
-            value = sum(w * vals[i] for w, i in zip(weights, support))
-            if best is None or value > best:
-                best = value
-        self._lp_cache[gamma] = best
-        return best
+        return self._top(s)
 
     def bounding_box(self):
-        exps = [e for e, _ in self.points]
-        mins = tuple(min(e[i] for e in exps) for i in range(self.arity))
-        maxs = tuple(max(e[i] for e in exps) for i in range(self.arity))
-        return mins, maxs
+        return self.hull.bounding_box()
 
     def lattice(self):
-        """All integer exponent vectors inside the Newton polytope."""
-        mins, maxs = self.bounding_box()
-        out = []
-        for candidate in itertools.product(
-            *(range(lo, hi + 1) for lo, hi in zip(mins, maxs))
-        ):
-            if self.contains(candidate):
-                out.append(candidate)
-        return out
+        """{exponent: envelope value} over the integer exponent vectors
+        inside the Newton polytope, in ascending order, from one scan."""
+        return {gamma: self._top(s) for gamma, s in self.hull.lattice()}
 
     def scaled(self, k):
-        """Envelope of the k-th power: exponents and values scale by k."""
+        """Envelope of the k-th power: exponents and values scale by k, so
+        every constant term does."""
         if k == 1:
             return self
         env = object.__new__(_Envelope)
-        env.arity = self.arity
-        env.lift = {
-            tuple(k * x for x in e): v * k for e, v in self.lift.items()
-        }
-        env.points = sorted(env.lift.items())
-        env.origin = tuple(k * x for x in self.origin)
-        env.basis = self.basis
-        env.hull_dim = self.hull_dim
-        env._lp_cache = {}
-        if self.hull_dim == 1:
-            env._chain = [(t * k, v * k) for t, v in self._chain]
-        elif self.hull_dim == 2:
-            env._planes = [(g1, g2, h * k) for g1, g2, h in self._planes]
-            env._edges = [(a, b, c * k) for a, b, c in self._edges]
+        env.hull = self.hull.scaled(k)
+        env._denominator = self._denominator
+        env._planes = [(gs, h * k) for gs, h in self._planes]
         return env
 
 
-def _chain_value(chain, t):
-    if t < chain[0][0] or t > chain[-1][0]:
-        return None
-    for (t0, v0), (t1, v1) in zip(chain, chain[1:]):
-        if t0 <= t <= t1:
-            return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
-    return chain[-1][1] if t == chain[-1][0] else None
-
-
-def _dominating_planes(lifted):
-    """Affine functions g.s + h through point triples that dominate every
-    lifted point; their pointwise minimum is the concave envelope."""
-    planes = set()
-    for (p1, v1), (p2, v2), (p3, v3) in itertools.combinations(lifted, 3):
-        equations = [
-            ((p[0], p[1], Fraction(1)), -v)
-            for p, v in ((p1, v1), (p2, v2), (p3, v3))
-        ]
-        plane = solve_unique(equations, 3)
-        if plane is None:
-            continue
-        g1, g2, h = plane
-        if all(g1 * p[0] + g2 * p[1] + h >= v for p, v in lifted):
-            planes.add((g1, g2, h))
-    if not planes:
-        raise AssertionError("two-dimensional hull without a dominating plane")
-    return sorted(planes)
-
-
-def _hull_edge_forms(points):
-    """Inward edge inequalities a*s + b*t + c >= 0 of the 2-D convex hull."""
-    pts = sorted(set(points))
-    if len(pts) < 3:
-        raise AssertionError("degenerate 2-D hull")
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    forms = []
-    for p, q in zip(hull, hull[1:] + hull[:1]):
-        a = -(q[1] - p[1])
-        b = q[0] - p[0]
-        c = -(a * p[0] + b * p[1])
-        forms.append((Fraction(a), Fraction(b), Fraction(c)))
-    return forms
+def _dominating_planes(lifted, k):
+    """Affine functions (g, h), s -> g.s + h, through lifted points of a
+    k-dimensional chart that dominate every lifted point; their pointwise
+    minimum is the concave envelope."""
+    if k == 1:
+        chain = upper_chain(sorted((s[0], v) for s, v in lifted))
+        planes = []
+        for (t0, v0), (t1, v1) in zip(chain, chain[1:]):
+            g = (v1 - v0) / (t1 - t0)
+            planes.append(((g,), v0 - g * t0))
+        return planes
+    # the upper facets n.s + m*(scale*v) + c >= 0, m < 0, of the lift
+    # with heights scaled to integers: v <= (n.s + c) / (-m*scale)
+    scale = math.lcm(*(v.denominator for _, v in lifted))
+    planes = []
+    for normal, c in hull_facets([s + (int(v * scale),) for s, v in lifted]):
+        d = -normal[k] * scale
+        if d > 0:
+            planes.append((tuple(Fraction(a, d) for a in normal[:k]), Fraction(c, d)))
+    return planes
 
 
 class RationalPolynomial:
@@ -318,7 +211,7 @@ class RationalPolynomial:
         if self._env is None:
             if self.is_zero:
                 raise DomainError("zero has no envelope")
-            self._env = _Envelope(self.extremal_terms, self.arity)
+            self._env = _Envelope(self.extremal_terms)
         return self._env
 
     def min_representative(self):
@@ -329,10 +222,7 @@ class RationalPolynomial:
             if self.is_zero:
                 self._maxrep = Polynomial.zero(self.arity)
             else:
-                env = self.envelope()
-                self._maxrep = Polynomial(
-                    self.arity, {e: env.value(e) for e in env.lattice()}
-                )
+                self._maxrep = Polynomial(self.arity, self.envelope().lattice())
         return self._maxrep
 
     def envelope_at(self, gamma):
@@ -386,7 +276,7 @@ def envelope_value(poly, gamma):
     gamma = tuple(gamma)
     if len(gamma) != poly.arity:
         raise UsageError("exponent vector length mismatch")
-    value = _Envelope(poly.terms, poly.arity).value(gamma)
+    value = _Envelope(poly.terms).value(gamma)
     if value is None:
         raise DomainError("outside Newton polytope")
     return value
@@ -491,8 +381,8 @@ def divide(num, den):
     env_num = num.envelope()
     env_den = den.envelope()
     den_vertices = den.newton_vertices()
-    den_lattice = env_den.lattice()
-    den_values = {a: env_den.value(a) for a in den_lattice}
+    den_values = env_den.lattice()
+    den_lattice = list(den_values)
     rhat = {}
 
     def residual(beta):

@@ -1,14 +1,19 @@
 """Exact rational polyhedral computations.
 
-Everything here runs on ``Fraction`` values: strictness-aware
+Everything here runs on ``Fraction`` values or integers: strictness-aware
 Fourier-Motzkin elimination for feasibility with witness points, affine
 dimension of solution sets, small linear programs solved by enumerating
-basic solutions, lattice points of Newton polytopes and Minkowski sums.
-This module is also the one home of exact linear algebra for the kernel:
-`solve_unique` is its only Gaussian solve, `matrix_rank` its only rank
-routine and `upper_chain` its only upper-hull chain builder.
-Problem sizes are desk scale (a dozen constraints, dimension below ten),
-so the quadratic blowup of the elimination is a non-issue.
+basic solutions, polytopes in facet form over their affine hull
+(`Polytope`, the one lattice scanner), lattice points of Newton polytopes
+and Minkowski sums.  This module is also the one home of exact linear
+algebra for the kernel: `solve_unique` is its only Gaussian solve,
+`matrix_rank` its only rank routine, `upper_chain` its only upper-hull
+chain builder and `hull_facets` its only facet enumerator.
+
+Each elimination stage pairs every lower with every upper bound, so the
+row count can square per eliminated variable.  The first variable,
+eliminated last, is therefore never paired: its tightest lower and upper
+bounds decide it in one pass.
 """
 
 from __future__ import annotations
@@ -115,7 +120,8 @@ class InequalitySystem:
 # -- Fourier-Motzkin machinery ------------------------------------------
 #
 # Rows are (coeffs tuple, const, strict flag) meaning coeffs.x + const > 0
-# (strict) or >= 0.  Equalities become two opposite rows.
+# (strict) or >= 0.  Equalities become two opposite rows.  Elimination
+# takes and returns normalized rows: primitive integer vectors.
 
 
 def _rows_of(system):
@@ -132,13 +138,19 @@ def _rows_of(system):
 
 
 def _normalize_row(row):
+    """The row scaled to primitive integers."""
     coeffs, const, strict = row
     scale = math.lcm(*(x.denominator for x in coeffs), const.denominator)
-    ints = [int(x * scale) for x in coeffs] + [int(const * scale)]
-    g = math.gcd(*ints)
+    return _primitive([int(x * scale) for x in coeffs], int(const * scale), strict)
+
+
+def _primitive(coeffs, const, strict):
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*coeffs, const)
     if g > 1:
-        ints = [v // g for v in ints]
-    return (tuple(ints[:-1]), ints[-1], strict)
+        coeffs = [v // g for v in coeffs]
+        const //= g
+    return (tuple(coeffs), const, strict)
 
 
 def _constant_row_ok(row):
@@ -146,42 +158,75 @@ def _constant_row_ok(row):
     return const > 0 if strict else const >= 0
 
 
+def _split(rows, index):
+    """(lower rows, upper rows, other rows) for variable `index`."""
+    lowers, uppers, kept = [], [], []
+    for row in rows:
+        c = row[0][index]
+        if c > 0:
+            lowers.append(row)
+        elif c < 0:
+            uppers.append(row)
+        else:
+            kept.append(row)
+    return lowers, uppers, kept
+
+
 def _eliminate(rows, index):
     """Project away variable `index`; returns (projected rows, lower rows,
-    upper rows) where lower/upper bound the variable for back-substitution."""
-    lowers, uppers, kept = [], [], []
-    for coeffs, const, strict in rows:
-        c = coeffs[index]
-        if c > 0:
-            lowers.append((coeffs, const, strict))
-        elif c < 0:
-            uppers.append((coeffs, const, strict))
-        else:
-            kept.append((coeffs, const, strict))
-    seen = {_normalize_row(r) for r in kept}
+    upper rows) where lower/upper bound the variable for back-substitution.
+    The rows are normalized, so the combined rows need only their gcd."""
+    lowers, uppers, kept = _split(rows, index)
+    seen = set(kept)
     out = list(seen)
     for lc, lk, ls in lowers:
         for uc, uk, us in uppers:
             a, b = lc[index], uc[index]
-            coeffs = tuple(x * (-b) + y * a for x, y in zip(lc, uc))
-            const = lk * (-b) + uk * a
-            row = _normalize_row((coeffs, const, ls or us))
+            coeffs = [x * (-b) + y * a for x, y in zip(lc, uc)]
+            row = _primitive(coeffs, lk * (-b) + uk * a, ls or us)
             if row not in seen:
                 seen.add(row)
                 out.append(row)
     return out, lowers, uppers
 
 
+def _bounds_meet(lowers, uppers):
+    """Whether the bounds left on the first variable, the last one
+    eliminated, admit a value: the largest lower bound is at most the
+    smallest upper bound, and a tie is allowed only when no strict row
+    attains it.  This is exactly the condition that every pairwise
+    combined row holds, read off in one pass instead of building the
+    L x U rows."""
+    if not lowers or not uppers:
+        return True
+    lo = max(Fraction(-const, coeffs[0]) for coeffs, const, _ in lowers)
+    hi = min(Fraction(-const, coeffs[0]) for coeffs, const, _ in uppers)
+    if lo != hi:
+        return lo < hi
+    return not any(
+        strict and Fraction(-const, coeffs[0]) == lo
+        for coeffs, const, strict in lowers + uppers
+    )
+
+
 def is_strictly_feasible(system):
     """Decide whether a rational point satisfies every constraint, strict
     ones strictly.  Returns (True, witness) or (False, None); the witness
-    is built by back-substitution, midpointing strict intervals."""
+    is built by back-substitution, midpointing strict intervals.
+
+    Variables are eliminated from the last to the second; the first is
+    settled by its tightest bounds (`_bounds_meet`)."""
     rows = [_normalize_row(r) for r in _rows_of(system)]
     n = system.dimension
     stages = []
-    for index in reversed(range(n)):
+    for index in reversed(range(1, n)):
         rows, lowers, uppers = _eliminate(rows, index)
         stages.append((index, lowers, uppers))
+    if n:
+        lowers, uppers, rows = _split(rows, 0)
+        if not _bounds_meet(lowers, uppers):
+            return False, None
+        stages.append((0, lowers, uppers))
     for row in rows:
         if not _constant_row_ok(row):
             return False, None
@@ -212,7 +257,8 @@ def is_strictly_feasible(system):
             value = (lo + hi) / 2
         else:
             # lo == hi is necessarily a two-sided non-strict tie: a strict
-            # pinch would have produced an infeasible combined row earlier.
+            # pinch would have produced an infeasible combined row earlier,
+            # or failed `_bounds_meet` on the first variable.
             value = lo
         witness[index] = value
     return True, tuple(witness)
@@ -221,13 +267,16 @@ def is_strictly_feasible(system):
 # -- exact linear algebra helpers -----------------------------------------
 
 
-def solve_unique(equations, n):
-    """Solve a stack of affine equations coeffs.x + const = 0.  Returns the
-    unique solution, or None when the system is singular or inconsistent."""
-    rows = [list(coeffs) + [const] for coeffs, const in equations]
+def _row_reduce(rows, ncols):
+    """Reduced row echelon form of exact rows, pivoting on the first
+    `ncols` columns.  Returns (rows, pivot columns); the rows past the
+    pivots are zero in those columns."""
+    rows = [[Fraction(v) for v in row] for row in rows]
     pivots = []
-    r = 0
-    for col in range(n):
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
         pivot = next((i for i in range(r, len(rows)) if rows[i][col] != 0), None)
         if pivot is None:
             continue
@@ -239,37 +288,27 @@ def solve_unique(equations, n):
                 f = rows[i][col]
                 rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
         pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    for i in range(r, len(rows)):
-        if rows[i][n] != 0:
-            return None  # inconsistent
+    return rows, pivots
+
+
+def solve_unique(equations, n):
+    """Solve a stack of affine equations coeffs.x + const = 0.  Returns the
+    unique solution, or None when the system is singular or inconsistent."""
+    rows, pivots = _row_reduce([list(coeffs) + [const] for coeffs, const in equations], n)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return None  # inconsistent
     if len(pivots) < n:
         return None  # underdetermined
     solution = [Fraction(0)] * n
-    for i, col in enumerate(pivots):
-        solution[col] = -rows[i][n]
+    for row, col in zip(rows, pivots):
+        solution[col] = -row[n]
     return tuple(solution)
 
 
 def matrix_rank(vectors):
     """Rank of a list of exact rational vectors (zero vectors allowed)."""
-    rows = [list(v) for v in vectors if any(x != 0 for x in v)]
-    rank = 0
-    n = len(rows[0]) if rows else 0
-    for col in range(n):
-        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col] / p
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
+    vectors = list(vectors)
+    return len(_row_reduce(vectors, len(vectors[0]) if vectors else 0)[1])
 
 
 def upper_chain(points):
@@ -286,6 +325,151 @@ def upper_chain(points):
             chain.pop()
         chain.append(p)
     return chain
+
+
+# -- polytopes in facet form -----------------------------------------------
+
+
+def _det(matrix):
+    """Determinant of a square integer matrix, by fraction-free (Bareiss)
+    elimination."""
+    m = [list(row) for row in matrix]
+    n = len(m)
+    sign, previous = 1, 1
+    for i in range(n - 1):
+        if m[i][i] == 0:
+            swap = next((r for r in range(i + 1, n) if m[r][i] != 0), None)
+            if swap is None:
+                return 0
+            m[i], m[swap] = m[swap], m[i]
+            sign = -sign
+        for r in range(i + 1, n):
+            for c in range(i + 1, n):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // previous
+        previous = m[i][i]
+    return sign * m[-1][-1] if n else 1
+
+
+def hull_facets(points):
+    """Facet inequalities (normal, c), meaning normal.p + c >= 0, of the
+    convex hull of integer points in k-space, as primitive integer
+    vectors: every hyperplane through k affinely independent points with
+    every point on one side.  When the points span the whole space these
+    are the facets; when they span one hyperplane, that hyperplane is
+    returned in both orientations."""
+    k = len(points[0])
+    if k == 0:
+        return []
+    facets = set()
+    for first, *rest in itertools.combinations(points, k):
+        diffs = [[a - b for a, b in zip(p, first)] for p in rest]
+        # the generalized cross product of the differences
+        normal = [(-1) ** i * _det([d[:i] + d[i + 1:] for d in diffs]) for i in range(k)]
+        g = math.gcd(*normal)
+        if g == 0:
+            continue  # affinely dependent
+        normal = tuple(a // g for a in normal)
+        c = -sum(a * x for a, x in zip(normal, first))
+        values = [sum(a * x for a, x in zip(normal, p)) + c for p in points]
+        if all(v >= 0 for v in values):
+            facets.add((normal, c))
+        if all(v <= 0 for v in values):
+            facets.add((tuple(-a for a in normal), -c))
+    return sorted(facets)
+
+
+class Polytope:
+    """Convex hull of finitely many integer points, built once in facet
+    form over its affine hull.
+
+    The affine hull is charted by its `pivots`: a point of the hull is
+    fixed by its coordinates there (its chart), and each other
+    coordinate is an affine function of the chart, read off the reduced
+    row echelon form of the difference vectors (`rules`).  `facets` are
+    the hull's inequalities in the chart.  Membership is then a chart
+    read, a check of the rules and one pass over the facets.  The chart
+    of the k-th dilate is k times the chart, so `scaled` only multiplies
+    the constant terms by k.
+    """
+
+    def __init__(self, points):
+        points = sorted({tuple(p) for p in points})
+        if not points:
+            raise UsageError("empty point set")
+        dim = len(points[0])
+        if any(len(p) != dim for p in points):
+            raise UsageError("dimension mismatch")
+        origin = points[0]
+        rows, pivots = _row_reduce(
+            [[a - b for a, b in zip(p, origin)] for p in points[1:]], dim
+        )
+        rules = []
+        for j in range(dim):
+            if j not in pivots:
+                coeffs = tuple(row[j] for row in rows[: len(pivots)])
+                const = origin[j] - sum(c * origin[i] for c, i in zip(coeffs, pivots))
+                rules.append((j, coeffs, const))
+        self.points = points
+        self.pivots = tuple(pivots)
+        self.rules = tuple(rules)
+        self.facets = hull_facets([self.chart(p) for p in points])
+
+    @property
+    def hull_dim(self):
+        return len(self.pivots)
+
+    def chart(self, gamma):
+        """Coordinates of gamma on the affine hull, or None off the hull."""
+        s = tuple(gamma[i] for i in self.pivots)
+        for j, coeffs, const in self.rules:
+            if gamma[j] != sum(c * x for c, x in zip(coeffs, s)) + const:
+                return None
+        return s
+
+    def inside(self, s):
+        """Whether the chart point s satisfies every facet inequality."""
+        return all(
+            sum(a * x for a, x in zip(normal, s)) + c >= 0 for normal, c in self.facets
+        )
+
+    def contains(self, gamma):
+        s = self.chart(gamma)
+        return s is not None and self.inside(s)
+
+    def bounding_box(self):
+        mins = tuple(min(column) for column in zip(*self.points))
+        maxs = tuple(max(column) for column in zip(*self.points))
+        return mins, maxs
+
+    def lattice(self):
+        """(integer point, its chart) for every lattice point of the
+        polytope, in ascending order: a scan of the box of the charts.
+        Charts order hull points as their coordinates do, because each
+        reduced row starts at its pivot."""
+        mins, maxs = self.bounding_box()
+        dim = len(mins)
+        for s in itertools.product(*(range(mins[i], maxs[i] + 1) for i in self.pivots)):
+            if not self.inside(s):
+                continue
+            gamma = [0] * dim
+            for i, x in zip(self.pivots, s):
+                gamma[i] = x
+            for j, coeffs, const in self.rules:
+                v = sum(c * x for c, x in zip(coeffs, s)) + const
+                if v.denominator != 1:
+                    break
+                gamma[j] = int(v)
+            else:
+                yield tuple(gamma), s
+
+    def scaled(self, k):
+        """The polytope of the k-scaled points."""
+        out = object.__new__(Polytope)
+        out.points = [tuple(k * x for x in p) for p in self.points]
+        out.pivots = self.pivots
+        out.rules = tuple((j, coeffs, k * const) for j, coeffs, const in self.rules)
+        out.facets = [(normal, k * c) for normal, c in self.facets]
+        return out
 
 
 # -- derived queries -------------------------------------------------------
@@ -425,22 +609,8 @@ def in_convex_hull(point, generators):
 
 def lattice_points(points):
     """All integer vectors inside the convex hull of the given exponent
-    vectors, found by a bounding-box scan with exact membership tests."""
-    points = [tuple(p) for p in points]
-    if not points:
-        raise UsageError("empty point set")
-    dim = len(points[0])
-    if any(len(p) != dim for p in points):
-        raise UsageError("dimension mismatch")
-    mins = [min(p[i] for p in points) for i in range(dim)]
-    maxs = [max(p[i] for p in points) for i in range(dim)]
-    found = []
-    for candidate in itertools.product(
-        *(range(lo, hi + 1) for lo, hi in zip(mins, maxs))
-    ):
-        if in_convex_hull(candidate, points):
-            found.append(candidate)
-    return sorted(found)
+    vectors, in ascending order (the scan of `Polytope.lattice`)."""
+    return [gamma for gamma, _ in Polytope(points).lattice()]
 
 
 def minkowski_sum(a, b):

@@ -102,7 +102,7 @@ def _equal_pair(rng):
     p = rand_bivariate(rng, max_support=5, max_exp=4)
     r = canonicalize(p)
     env = r.envelope()
-    lattice = env.lattice()
+    lattice = list(env.lattice())
     gamma = rng.choice(lattice)
     coeff = env.value(gamma) - rng.randint(0, 3)
     q = p + Polynomial(2, {gamma: coeff})

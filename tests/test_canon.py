@@ -1,13 +1,18 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tropoly.canon import (
+    _Envelope,
     canonicalize,
     divide,
     divides_power,
     envelope_value,
     extremal_monomials,
+    monomial_versus_constraints,
     power_cancel,
     rat_add,
     rat_equal,
@@ -15,7 +20,16 @@ from tropoly.canon import (
     rat_pow,
 )
 from tropoly.errors import DomainError, UsageError
-from tropoly.geometry import AffineForm, Constraint, InequalitySystem, lp_max, minkowski_sum
+from tropoly.geometry import (
+    AffineForm,
+    Constraint,
+    InequalitySystem,
+    is_strictly_feasible,
+    lp_max,
+    matrix_rank,
+    minkowski_sum,
+    solve_unique,
+)
 from tropoly.polynomial import Polynomial
 
 from conftest import rand_bivariate, rand_point, rand_univariate
@@ -337,7 +351,7 @@ def test_newton_additivity(rng):
 
 
 def test_three_variable_classes(rng):
-    # exercises the barycentric fallback used above hull dimension two
+    # exercises envelopes of hull dimension three
     from conftest import rand_coeff
 
     for _ in range(6):
@@ -373,3 +387,96 @@ def test_collinear_support_classes(rng):
 def test_arity_mismatch_rejected():
     with pytest.raises(UsageError):
         rat_mul(canonicalize(X), canonicalize(poly1({1: 0})))
+
+
+def _barycentric_value(lift, gamma):
+    """Reference envelope value: the barycentric program, maximize the
+    lifted values over convex weights hitting gamma, solved by
+    enumerating its basic solutions (weights on rank-many points); None
+    outside the Newton polytope."""
+    exps = sorted(lift)
+    rows = [
+        tuple(Fraction(e[j]) for e in exps) + (Fraction(gamma[j]),)
+        for j in range(len(gamma))
+    ]
+    rows.append((Fraction(1),) * len(exps) + (Fraction(1),))
+    rank = matrix_rank(rows)
+    best = None
+    for support in itertools.combinations(range(len(exps)), rank):
+        equations = [(tuple(row[i] for i in support), -row[-1]) for row in rows]
+        weights = solve_unique(equations, rank)
+        if weights is None or any(w < 0 for w in weights):
+            continue
+        value = sum(w * lift[exps[i]] for w, i in zip(weights, support))
+        if best is None or value > best:
+            best = value
+    return best
+
+
+_coeff = st.fractions(min_value=-6, max_value=6, max_denominator=3)
+
+
+@st.composite
+def _lifts(draw):
+    """Lifted supports in 1-3 variables with exponents 0-3: free ones,
+    and collinear or coplanar ones whose hull has lower dimension."""
+    arity = draw(st.integers(1, 3))
+    vec = st.tuples(*[st.integers(0, 3)] * arity)
+    shape = draw(st.sampled_from(["free", "line", "plane"]))
+    if shape == "free":
+        support = set(draw(st.lists(vec, min_size=1, max_size=7)))
+    else:
+        base = draw(vec)
+        step = st.tuples(*[st.integers(-1, 1)] * arity).filter(any)
+        steps = [draw(step) for _ in range(1 if shape == "line" else 2)]
+        combos = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(steps)),
+                               min_size=2, max_size=7))
+        support = {
+            tuple(b + sum(c * d[i] for c, d in zip(combo, steps)) for i, b in enumerate(base))
+            for combo in combos
+        }
+    return {e: draw(_coeff) for e in sorted(support)}
+
+
+def _box(lift):
+    exps = list(lift)
+    return itertools.product(
+        *(range(min(e[i] for e in exps), max(e[i] for e in exps) + 1)
+          for i in range(len(exps[0])))
+    )
+
+
+@settings(derandomize=True, database=None, max_examples=250, deadline=None)
+@given(_lifts(), st.integers(2, 3))
+def test_envelope_against_barycentric_enumeration(lift, k):
+    env = _Envelope(lift)
+    expected = {}
+    for gamma in _box(lift):
+        value = _barycentric_value(lift, gamma)
+        assert env.value(gamma) == value
+        assert env.contains(gamma) == (value is not None)
+        if value is not None:
+            expected[gamma] = value
+    lattice = env.lattice()
+    assert lattice == expected and list(lattice) == sorted(expected)
+    scaled = env.scaled(k)
+    fresh = _Envelope({tuple(k * x for x in e): k * v for e, v in lift.items()})
+    assert scaled.lattice() == fresh.lattice()
+    for gamma in _box(fresh.hull.points):
+        assert scaled.value(gamma) == fresh.value(gamma)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(st.dictionaries(st.integers(0, 12), _coeff, min_size=1, max_size=10),
+       st.fractions(min_value=-2, max_value=2, max_denominator=2))
+def test_univariate_extremal_terms_against_fm_per_term(coeffs, slope):
+    # a slope through the coefficients puts some terms on chain segments
+    p = poly1({e: c if e % 3 else slope * e for e, c in coeffs.items()})
+    expected = {}
+    for alpha, c_alpha in p.terms.items():
+        opponents = {b: c for b, c in p.terms.items() if b != alpha}
+        system = InequalitySystem(1, monomial_versus_constraints(alpha, c_alpha, opponents))
+        feasible, witness = is_strictly_feasible(system)
+        if feasible:
+            expected[alpha] = (c_alpha, witness)
+    assert extremal_monomials(p) == expected

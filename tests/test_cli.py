@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -219,6 +220,21 @@ def test_cli_long_sum_and_product(capsys):
     code, out, err = run(capsys, "canon", text)
     assert code == 0 and err == ""
     assert json.loads(out) == _canon_x_power(1500, text)
+
+
+def test_cli_canon_of_a_large_univariate_power(capsys):
+    # 501 terms, 2 extremal: the extremal terms come from the upper chain
+    start = time.perf_counter()
+    code, out, err = run(capsys, "canon", "(x+0)^500")
+    elapsed = time.perf_counter() - start
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["min"] == [
+        {"exponents": [0], "coeff": "0"},
+        {"exponents": [500], "coeff": "0"},
+    ]
+    assert result["max"] == [{"exponents": [k], "coeff": "0"} for k in range(501)]
+    assert elapsed < 10
 
 
 def test_cli_deep_nesting_is_a_usage_error(capsys):

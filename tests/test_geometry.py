@@ -21,6 +21,7 @@ from tropoly.geometry import (
     minkowski_sum,
     solve_unique,
 )
+from tropoly.geometry import _normalize_row, _rows_of
 
 
 def system(dim, *rows):
@@ -277,3 +278,110 @@ def test_solve_unique_and_rank_against_sympy(stack):
     assert matrix_rank(rows) == _sympy_rank(rows, n + 1)
     equations = [(r[:n], r[n]) for r in rows]
     assert solve_unique(equations, n) == _sympy_unique_solution(rows, n)
+
+
+def _pairwise_fm(system_):
+    """Reference Fourier-Motzkin: every variable, the first included, is
+    eliminated by building all lower-upper pairs, and the constant rows
+    left decide feasibility; back-substitution reads the max lower and
+    the min upper bound of each stage."""
+    rows = [_normalize_row(r) for r in _rows_of(system_)]
+    n = system_.dimension
+    stages = []
+    for index in reversed(range(n)):
+        lowers = [r for r in rows if r[0][index] > 0]
+        uppers = [r for r in rows if r[0][index] < 0]
+        out = {r for r in rows if r[0][index] == 0}
+        for lc, lk, ls in lowers:
+            for uc, uk, us in uppers:
+                a, b = lc[index], uc[index]
+                coeffs = tuple(x * (-b) + y * a for x, y in zip(lc, uc))
+                out.add(_normalize_row((coeffs, lk * (-b) + uk * a, ls or us)))
+        rows = list(out)
+        stages.append((index, lowers, uppers))
+    if not all(const > 0 if strict else const >= 0 for _, const, strict in rows):
+        return False, None
+    witness = [Fraction(0)] * n
+    for index, lowers, uppers in reversed(stages):
+        def bound(row):
+            coeffs, const = row[0], row[1]
+            rest = sum((coeffs[j] * witness[j] for j in range(index)), Fraction(const))
+            return -rest / coeffs[index]
+
+        lo = max(map(bound, lowers), default=None)
+        hi = min(map(bound, uppers), default=None)
+        if lo is None and hi is None:
+            witness[index] = Fraction(0)
+        elif hi is None:
+            witness[index] = lo + 1
+        elif lo is None:
+            witness[index] = hi - 1
+        else:
+            witness[index] = (lo + hi) / 2
+    return True, tuple(witness)
+
+
+@st.composite
+def _fm_systems(draw):
+    """Systems in 1-3 variables with mixed >, >= and = rows.  Some pinch
+    the first variable at t, directly or through a chain over the second
+    (x0 >= x1 >= t >= x0), with strict and non-strict sides, so the
+    bounds on the first variable tie."""
+    dim = draw(st.integers(1, 3))
+    rel = st.sampled_from([">", ">=", "="])
+    side = st.sampled_from([">", ">="])
+    rows = [
+        ([draw(st.integers(-3, 3)) for _ in range(dim)], draw(st.integers(-4, 4)), draw(rel))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    pad = [0] * (dim - 1)
+    t = draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+        rows.append(([a] + pad, -a * t, draw(side)))
+        rows.append(([-b] + pad, b * t, draw(side)))
+    if dim > 1 and draw(st.booleans()):
+        rows.append(([1, -1] + pad[1:], 0, draw(side)))
+        rows.append(([0, 1] + pad[1:], -t, draw(side)))
+        rows.append(([-1, 0] + pad[1:], t, draw(side)))
+    return system(dim, *rows)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(_fm_systems())
+def test_last_variable_bounds_match_pairwise_elimination(s):
+    result = is_strictly_feasible(s)
+    assert result == _pairwise_fm(s)
+    if result[0]:
+        assert s.holds_at(result[1])
+
+
+@st.composite
+def _point_sets(draw):
+    """1-5 integer points in 1-3 dimensions, coordinates 0-3; some are
+    collinear or coplanar, so their hull has lower dimension."""
+    dim = draw(st.integers(1, 3))
+    coord = st.integers(0, 3)
+    vec = st.tuples(*[coord] * dim)
+    shape = draw(st.sampled_from(["free", "line", "plane"]))
+    if shape == "free":
+        return sorted(set(draw(st.lists(vec, min_size=1, max_size=5))))
+    base = draw(vec)
+    step = st.tuples(*[st.integers(-1, 1)] * dim).filter(any)
+    steps = [draw(step) for _ in range(1 if shape == "line" else 2)]
+    combo = st.tuples(*[st.integers(0, 2)] * len(steps))
+    combos = draw(st.lists(combo, min_size=2, max_size=5))
+    return sorted({
+        tuple(b + sum(c * d[i] for c, d in zip(combo, steps)) for i, b in enumerate(base))
+        for combo in combos
+    })
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_point_sets())
+def test_lattice_points_against_hull_membership(points):
+    box = itertools.product(
+        *(range(min(p[i] for p in points), max(p[i] for p in points) + 1)
+          for i in range(len(points[0])))
+    )
+    assert lattice_points(points) == [c for c in box if in_convex_hull(c, points)]
