@@ -4,8 +4,10 @@ Two polynomials define the same rational polynomial (the same function,
 the same element of the fraction semifield) exactly when they have the
 same concave envelope: the upper hull of their exponent support lifted by
 the coefficients.  A canonical class is identified by its extremal
-monomials -- the terms that are strictly dominant somewhere -- and caches
-the envelope-saturated maximal representative.
+monomials -- the terms that are strictly dominant somewhere, i.e. the
+vertices of that upper hull (`geometry.upper_vertices`) -- and caches
+their witness points, computed on first access, and the
+envelope-saturated maximal representative.
 
 Division is residuation: the greatest coefficientwise solution of
 Q * R <= P is computed on saturated representatives and accepted exactly
@@ -27,6 +29,7 @@ from .geometry import (
     hull_facets,
     is_strictly_feasible,
     upper_chain,
+    upper_vertices,
 )
 from .polynomial import Polynomial
 from .semifield import MAXPLUS
@@ -65,19 +68,25 @@ def extremal_monomials(poly):
         raise UsageError("canonical forms require the max-plus rationals")
     if poly.is_zero:
         raise DomainError("zero has no canonical form")
-    terms = poly.terms
-    if poly.arity == 1:
-        # The extremal terms are the vertices of the upper chain.  The other
-        # terms lie on or below it, so they change no strict dominance
-        # region and no witness: FM runs against the vertices alone.
-        chain = upper_chain(sorted((e[0], c) for e, c in terms.items()))
-        terms = {(t,): c for t, c in chain}
-    out = {}
-    for alpha in sorted(terms):
-        feasible, witness = is_strictly_feasible(_dominance_system(terms, alpha))
-        if feasible:
-            out[alpha] = (terms[alpha], witness)
-    return out
+    extremal = _extremal_terms(poly.terms)
+    witnesses = _witnesses(extremal)
+    return {e: (c, witnesses[e]) for e, c in extremal.items()}
+
+
+def _extremal_terms(terms):
+    """{exponent: coefficient} of the vertices of the lift's upper hull."""
+    return {e: terms[e] for e in upper_vertices(terms)}
+
+
+def _witnesses(extremal):
+    """A strict-dominance witness point for each extremal term, from one
+    FM run against the other extremal terms.  The remaining terms lie on
+    or below the upper hull, so they change no strict dominance region
+    and no witness."""
+    return {
+        alpha: is_strictly_feasible(_dominance_system(extremal, alpha))[1]
+        for alpha in extremal
+    }
 
 
 class _Envelope:
@@ -167,8 +176,8 @@ class RationalPolynomial:
 
     Identity is the extremal-term map (the minimal representative); the
     maximal representative fills every lattice point of the Newton
-    polytope with its envelope value.  Both are computed on demand from
-    the stored representative and cached.
+    polytope with its envelope value.  Both, and the witnesses, are
+    computed on demand from the stored representative and cached.
     """
 
     __slots__ = ("arity", "_rep", "_extremal", "_witnesses", "_env", "_maxrep")
@@ -187,24 +196,18 @@ class RationalPolynomial:
     def is_zero(self):
         return self._rep.is_zero
 
-    def _ensure_canonical(self):
-        if self._extremal is None:
-            if self._rep.is_zero:
-                self._extremal, self._witnesses = {}, {}
-            else:
-                data = extremal_monomials(self._rep)
-                self._extremal = {e: c for e, (c, _) in data.items()}
-                self._witnesses = {e: w for e, (_, w) in data.items()}
-
     @property
     def extremal_terms(self):
-        self._ensure_canonical()
+        if self._extremal is None:
+            self._extremal = _extremal_terms(self._rep.terms)
         return self._extremal
 
     @property
     def witnesses(self):
-        """A strict-dominance witness point for each extremal term."""
-        self._ensure_canonical()
+        """A strict-dominance witness point for each extremal term,
+        computed on first access."""
+        if self._witnesses is None:
+            self._witnesses = _witnesses(self.extremal_terms)
         return self._witnesses
 
     def envelope(self):
@@ -321,9 +324,11 @@ def rat_pow(r, k):
     }
     result = RationalPolynomial(Polynomial(r.arity, scaled_terms))
     result._extremal = scaled_terms
-    result._witnesses = {
-        tuple(k * x for x in e): w for e, w in r.witnesses.items()
-    }
+    # the rows of the power are k times the rows of r: the same witnesses
+    if r._witnesses is not None:
+        result._witnesses = {
+            tuple(k * x for x in e): w for e, w in r._witnesses.items()
+        }
     if r._env is not None:
         result._env = r._env.scaled(k)
     return result

@@ -25,7 +25,7 @@ from .canon import canonicalize, divide, divides_power, rat_equal
 from .errors import DomainError, ParseError, TropicalError, UsageError
 from .ideals import congruent_mod, radical_member
 from .polynomial import Polynomial
-from .semifield import BOTTOM
+from .semifield import BOTTOM, MAXPLUS
 from .univariate import factor, roots
 from .variety import dominance_graph, variety_cells
 
@@ -40,6 +40,11 @@ _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
 # the tree walks at most three, so 256 levels stay within Python's default
 # recursion limit of 1000 with room for the caller's own frames.
 MAX_NESTING = 256
+
+# Largest exponent literal an expression may use; a larger one is a
+# ParseError (exit 2).  A power of a sum is expanded term by term, so the
+# exponent bounds the size of the expansion.
+MAX_EXPONENT = 1000
 
 
 def tokenize(text):
@@ -131,7 +136,10 @@ class _Parser:
             kind, text, pos = self.advance()
             if kind != "num" or not re.fullmatch(r"\d+", text):
                 raise ParseError("exponent must be a natural number literal", pos)
-            node = ("pow", node, int(text))
+            digits = text.lstrip("0") or "0"
+            if len(digits) > len(str(MAX_EXPONENT)) or int(digits) > MAX_EXPONENT:
+                raise ParseError(f"exponent exceeds the cap of {MAX_EXPONENT}", pos)
+            node = ("pow", node, int(digits))
         return node
 
 
@@ -158,15 +166,25 @@ def _to_polynomial(node, arity, coeff_map):
         return Polynomial.zero(arity)
     if kind == "var":
         return Polynomial.variable(arity, node[1])
-    if kind in ("add", "mul"):
+    if kind == "add":
+        # one Polynomial for the whole sum; it merges repeated exponents
+        items = []
+        for child in node[1]:
+            items.extend(_to_polynomial(child, arity, coeff_map).terms.items())
+        return Polynomial(arity, items)
+    if kind == "mul":
         first, *rest = node[1]
         result = _to_polynomial(first, arity, coeff_map)
         for child in rest:
-            value = _to_polynomial(child, arity, coeff_map)
-            result = result + value if kind == "add" else result * value
+            result = result * _to_polynomial(child, arity, coeff_map)
         return result
     if kind == "pow":
-        return _to_polynomial(node[1], arity, coeff_map) ** node[2]
+        base, k = _to_polynomial(node[1], arity, coeff_map), node[2]
+        if len(base.terms) == 1:
+            # a monomial's power scales its exponent and its coefficient
+            ((exps, coeff),) = base.terms.items()
+            return Polynomial.monomial(arity, [k * e for e in exps], MAXPLUS.pow(coeff, k))
+        return base ** k
     raise AssertionError(f"unknown node {kind}")
 
 

@@ -8,7 +8,8 @@ basic solutions, polytopes in facet form over their affine hull
 and Minkowski sums.  This module is also the one home of exact linear
 algebra for the kernel: `solve_unique` is its only Gaussian solve,
 `matrix_rank` its only rank routine, `upper_chain` its only upper-hull
-chain builder and `hull_facets` its only facet enumerator.
+chain builder, `upper_vertices` its only upper-hull vertex finder and
+`hull_facets` its only facet enumerator.
 
 Each elimination stage pairs every lower with every upper bound, so the
 row count can square per eliminated variable.  The first variable,
@@ -216,8 +217,12 @@ def is_strictly_feasible(system):
 
     Variables are eliminated from the last to the second; the first is
     settled by its tightest bounds (`_bounds_meet`)."""
-    rows = [_normalize_row(r) for r in _rows_of(system)]
-    n = system.dimension
+    return _feasible([_normalize_row(r) for r in _rows_of(system)], system.dimension)
+
+
+def _feasible(rows, n):
+    """The row core of `is_strictly_feasible`: the same answer and witness
+    for primitive integer rows over n variables."""
     stages = []
     for index in reversed(range(1, n)):
         rows, lowers, uppers = _eliminate(rows, index)
@@ -325,6 +330,59 @@ def upper_chain(points):
             chain.pop()
         chain.append(p)
     return chain
+
+
+def upper_vertices(lift):
+    """Sorted exponents of the vertices of the upper hull of a lift
+    {exponent: height}: the exponents alpha at which some y makes
+    alpha.y + height the unique maximum.
+
+    In one variable these are the vertices of `upper_chain`.  Otherwise
+    the exponents are walked in ascending order and each is tested by
+    Fourier-Motzkin against the vertices found so far only (Clarkson's
+    output-sensitive extreme points).  An infeasible test rules alpha
+    out.  A feasible one at y adds the lexicographically largest of the
+    exponents attaining the maximum at y -- they span a face of the upper
+    hull, and a lexicographic extreme of a face is one of its vertices --
+    and alpha is tested again.  With n exponents and m vertices that is
+    at most n + m tests on at most m rows each.  The rows are primitive
+    integer rows: heights and exponent differences are both scaled by the
+    lcm of the heights' denominators.
+    """
+    exps = sorted(lift)
+    if exps and len(exps[0]) == 1:
+        return [(t,) for t, _ in upper_chain([(e[0], lift[e]) for e in exps])]
+    n = len(exps[0]) if exps else 0
+    scale = math.lcm(*(lift[e].denominator for e in exps))
+    height = {e: int(lift[e] * scale) for e in exps}
+    vertices = []
+    found = set()
+    for alpha in exps:
+        while alpha not in found:
+            rows = [
+                _primitive(
+                    [scale * (a - b) for a, b in zip(alpha, beta)],
+                    height[alpha] - height[beta],
+                    True,
+                )
+                for beta in vertices
+            ]
+            feasible, y = _feasible(rows, n)
+            if not feasible:
+                break
+            # the values at y, times scale and the common denominator of y
+            d = math.lcm(*(v.denominator for v in y))
+            point = [int(v * d) for v in y]
+            top = max(
+                exps,
+                key=lambda e: (scale * sum(a * v for a, v in zip(e, point)) + d * height[e], e),
+            )
+            if top in found:
+                # unreachable with exact rows: alpha beats every known vertex at y
+                raise AssertionError("no new upper-hull vertex at a feasible point")
+            vertices.append(top)
+            found.add(top)
+    return sorted(vertices)
 
 
 # -- polytopes in facet form -----------------------------------------------

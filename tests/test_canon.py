@@ -466,17 +466,75 @@ def test_envelope_against_barycentric_enumeration(lift, k):
         assert scaled.value(gamma) == fresh.value(gamma)
 
 
+def _extremal_by_fm_per_term(p):
+    """The reference extremal map: one Fourier-Motzkin run per term
+    against every other term."""
+    expected = {}
+    for alpha, c_alpha in p.terms.items():
+        opponents = {b: c for b, c in p.terms.items() if b != alpha}
+        system = InequalitySystem(p.arity, monomial_versus_constraints(alpha, c_alpha, opponents))
+        feasible, witness = is_strictly_feasible(system)
+        if feasible:
+            expected[alpha] = (c_alpha, witness)
+    return expected
+
+
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
 @given(st.dictionaries(st.integers(0, 12), _coeff, min_size=1, max_size=10),
        st.fractions(min_value=-2, max_value=2, max_denominator=2))
 def test_univariate_extremal_terms_against_fm_per_term(coeffs, slope):
     # a slope through the coefficients puts some terms on chain segments
     p = poly1({e: c if e % 3 else slope * e for e, c in coeffs.items()})
-    expected = {}
-    for alpha, c_alpha in p.terms.items():
-        opponents = {b: c for b, c in p.terms.items() if b != alpha}
-        system = InequalitySystem(1, monomial_versus_constraints(alpha, c_alpha, opponents))
-        feasible, witness = is_strictly_feasible(system)
-        if feasible:
-            expected[alpha] = (c_alpha, witness)
+    assert extremal_monomials(p) == _extremal_by_fm_per_term(p)
+
+
+@st.composite
+def _supports_with_ties(draw):
+    """Polynomials in 0, 2 or 3 variables with exponents 0-10: free, one-term,
+    collinear and coplanar supports, with free heights, tied heights, or
+    heights on one affine function plus a few lifted off it, so that many
+    terms tie on faces of the upper hull."""
+    arity = draw(st.sampled_from([0, 2, 3]))
+    vec = st.tuples(*[st.integers(0, 4)] * arity)
+    shape = draw(st.sampled_from(["free", "one", "line", "plane"]))
+    if shape == "free":
+        support = set(draw(st.lists(vec, min_size=1, max_size=9)))
+    elif shape == "one" or arity == 0:
+        support = {draw(vec)}
+    else:
+        base = draw(st.tuples(*[st.integers(4, 6)] * arity))
+        step = st.tuples(*[st.integers(-1, 1)] * arity).filter(any)
+        steps = [draw(step) for _ in range(1 if shape == "line" else 2)]
+        combos = draw(st.lists(st.tuples(*[st.integers(0, 2)] * len(steps)),
+                               min_size=2, max_size=9))
+        support = {
+            tuple(b + sum(c * d[i] for c, d in zip(combo, steps)) for i, b in enumerate(base))
+            for combo in combos
+        }
+    heights = draw(st.sampled_from(["free", "tied", "affine"]))
+    if heights == "free":
+        terms = {e: draw(_coeff) for e in support}
+    elif heights == "tied":
+        level = st.sampled_from([Fraction(0), Fraction(1, 2)])
+        terms = {e: draw(level) for e in support}
+    else:
+        slope = [draw(_coeff) for _ in range(arity)]
+        offset = draw(_coeff)
+        terms = {e: offset + sum(g * x for g, x in zip(slope, e)) for e in support}
+        for e in draw(st.lists(st.sampled_from(sorted(support)), max_size=2)):
+            terms[e] += draw(st.sampled_from([Fraction(-1, 3), Fraction(1, 2)]))
+    return Polynomial(arity, terms)
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(_supports_with_ties(), st.integers(2, 3))
+def test_extremal_terms_against_fm_per_term(p, k):
+    expected = _extremal_by_fm_per_term(p)
     assert extremal_monomials(p) == expected
+    r = canonicalize(p)
+    assert r.extremal_terms == {e: c for e, (c, _) in expected.items()}
+    assert r.witnesses == {e: w for e, (_, w) in expected.items()}
+    # a power scales the witnesses computed before it, or computes its own
+    scaled = {tuple(k * x for x in e): w for e, (_, w) in expected.items()}
+    assert rat_pow(r, k).witnesses == scaled
+    assert rat_pow(canonicalize(p), k).witnesses == scaled

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from tropoly.cli import MAX_NESTING, main, parse_expression, tokenize
+from tropoly.cli import MAX_EXPONENT, MAX_NESTING, main, parse_expression, tokenize
 from tropoly.errors import ParseError
 from tropoly.polynomial import Polynomial
 from tropoly.semifield import BOTTOM
@@ -257,3 +257,27 @@ def test_parse_at_the_nesting_cap():
         text = f"(x*{text}^1+0)"
     expected = Polynomial(1, {(k,): 0 for k in range(MAX_NESTING + 1)})
     assert parse_expression(text) == expected
+
+
+def test_cli_exponent_above_the_cap_is_a_usage_error(capsys):
+    for text in ("(x+0)^100000", f"(x+0)^{MAX_EXPONENT + 1}", "x^" + "9" * 5000):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "canon", text)
+        assert time.perf_counter() - start < 1
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and str(MAX_EXPONENT) in err
+        assert "Traceback" not in err
+    assert parse_expression(f"x^{MAX_EXPONENT}") == Polynomial(1, {(MAX_EXPONENT,): 0})
+    assert parse_expression("x^" + "0" * 5000 + "7") == Polynomial(1, {(7,): 0})
+
+
+def test_parse_powers_and_sums_match_repeated_operations():
+    # a monomial's power is scaled directly; a sum is merged once
+    assert parse_expression("(3/2*x*y^2)^4 + y + 0") == Polynomial(
+        2, {(4, 8): 6, (0, 1): 0, (0, 0): 0}
+    )
+    assert parse_expression("(2*x)^0") == Polynomial.constant(1, 0)
+    assert parse_expression("x + 1 + x + -inf + 3*x + 0") == Polynomial(
+        1, {(1,): 3, (0,): 1}
+    )
+    assert parse_expression("(x+y+1)^3") == parse_expression("(x+y+1)*(x+y+1)*(x+y+1)")
